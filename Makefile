@@ -42,7 +42,6 @@ FUZZTIME ?= 5s
 fuzz-short:
 	$(GO) test ./internal/p2p -run '^$$' -fuzz 'FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/p2p -run '^$$' -fuzz 'FuzzDispatchBody$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/p2p -run '^$$' -fuzz 'FuzzUnpackBytes$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/p2p -run '^$$' -fuzz 'FuzzChunkReassembly$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/p2p -run '^$$' -fuzz 'FuzzCodecDecode$$' -fuzztime $(FUZZTIME)
 

@@ -1,12 +1,9 @@
 package p2p
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
-
-	"hadfl/internal/simclock"
 )
 
 func BenchmarkMessageMarshal(b *testing.B) {
@@ -21,41 +18,9 @@ func BenchmarkMessageMarshal(b *testing.B) {
 	b.SetBytes(int64(m.WireSize()))
 }
 
-func BenchmarkSimNetSend(b *testing.B) {
-	e := simclock.New()
-	net := NewSimNet(e, Link{Latency: 0.001, Bandwidth: 1e9}, rand.New(rand.NewSource(1)))
-	net.Register(2, func(Message) {})
-	m := Message{Kind: KindParams, From: 1, To: 2, Payload: make([]float64, 1024)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Send(m)
-		e.Run(0)
-	}
-}
-
-// BenchmarkPackBytes vs BenchmarkPackBytesInto pins the satellite
-// contract: the into-variant with a warm buffer must not allocate.
-func BenchmarkPackBytes(b *testing.B) {
-	body := make([]byte, 1<<20)
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = PackBytes(body)
-	}
-}
-
-func BenchmarkPackBytesInto(b *testing.B) {
-	body := make([]byte, 1<<20)
-	buf := make([]float64, len(body)/8)
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = PackBytesInto(buf, body)
-	}
-}
-
-// BenchmarkSplitChunks pins the one-allocation-per-stream contract for
-// chunk encoding: a multi-chunk body packs once, however many frames it
+// BenchmarkSplitChunks pins the no-copy contract for chunk encoding:
+// chunk bodies are sub-slices of the body, so a multi-chunk body costs
+// one frame-slice allocation (plus the trailer), however many frames it
 // spans.
 func BenchmarkSplitChunks(b *testing.B) {
 	body := make([]byte, 3*DispatchChunkBytes+12345)

@@ -12,26 +12,22 @@ import (
 // The layout, per frame:
 //
 //	chunk i   Kind=KindDispatchChunk, Round=seq, Chunk=i (0-based),
-//	          Meta=chunk byte length, Payload=packed chunk bytes
+//	          Body=the chunk's bytes (a sub-slice of the whole body)
 //	terminal  Kind=result/error kind, Round=seq, Chunk=n (the chunk
-//	          count, > 0), Meta=12, Payload=packed trailer:
-//	          uint64 total body length | uint32 CRC-32 (IEEE) of the
-//	          whole body, little-endian
+//	          count, > 0), Body=trailer: uint64 total body length |
+//	          uint32 CRC-32 (IEEE) of the whole body, little-endian
 //
-// A terminal frame with Chunk=0 is the monolithic single-frame body
-// every sender used before chunking existed, so the two generations
-// interoperate: receivers dispatch on the Chunk field, and senders only
-// stream to peers that negotiated a modern exchange.
+// A body that fits one frame goes as the terminal frame alone, with
+// Chunk=0 and the body itself; receivers dispatch on the Chunk field.
 //
 // Bounds: each chunk body obeys MaxDispatchBody like any other frame
-// (the per-chunk bound UnpackBytes enforces), and a reassembled stream
+// (the per-frame bound DispatchBody enforces), and a reassembled stream
 // is capped at MaxDispatchStream — so a corrupt chunk count or length
 // can demand neither one absurd allocation nor an unbounded buffer.
 
-// DispatchChunkBytes is the target chunk size senders split at (4 MiB,
-// a multiple of 8 so every non-final chunk is word-aligned). It is
-// deliberately below MaxDispatchBody: receivers accept any chunk up to
-// the frame bound, so the two constants can move independently.
+// DispatchChunkBytes is the target chunk size senders split at (4 MiB).
+// It is deliberately below MaxDispatchBody: receivers accept any chunk
+// up to the frame bound, so the two constants can move independently.
 const DispatchChunkBytes = 4 << 20
 
 // MaxDispatchStream bounds a reassembled chunk-streamed body (1 GiB) —
@@ -54,11 +50,10 @@ func ChunkCount(n int) int {
 
 // SplitChunks encodes body as dispatch frames: a single monolithic
 // frame when it fits DispatchChunkBytes, otherwise a chunk sequence
-// closed by a trailer-carrying terminal frame of the given kind. The
-// whole body is byte-packed exactly once into one word buffer and each
-// chunk's payload is a sub-slice of it, so a stream costs one payload
-// allocation however many frames it spans (pinned by
-// BenchmarkSplitChunks).
+// closed by a trailer-carrying terminal frame of the given kind. Each
+// chunk's Body is a sub-slice of body, so splitting copies no body
+// bytes (pinned by BenchmarkSplitChunks); callers must not modify body
+// until every frame has been sent.
 func SplitChunks(kind Kind, to, seq int, body []byte) ([]Message, error) {
 	if !IsDispatchKind(kind) || kind == KindDispatchChunk {
 		return nil, fmt.Errorf("p2p: %v cannot terminate a chunk stream", kind)
@@ -74,27 +69,17 @@ func SplitChunks(kind Kind, to, seq int, body []byte) ([]Message, error) {
 		}
 		return []Message{m}, nil
 	}
-	// One packing pass for the whole stream. DispatchChunkBytes is a
-	// multiple of 8, so every non-final chunk's payload is a word-aligned
-	// sub-slice; the final chunk's zero padding lives in the shared
-	// backing array's tail, exactly where PackBytes would put it.
-	words := PackBytes(body)
-	const chunkWords = DispatchChunkBytes / 8
 	frames := make([]Message, 0, n+1)
 	for i := 0; i < n; i++ {
 		lo := i * DispatchChunkBytes
-		hi := lo + DispatchChunkBytes
-		if hi > len(body) {
-			hi = len(body)
-		}
+		hi := min(lo+DispatchChunkBytes, len(body))
 		frames = append(frames, Message{
 			Kind:    KindDispatchChunk,
 			To:      to,
 			Round:   seq,
 			Chunk:   i,
-			Meta:    hi - lo,
 			Version: DispatchVersion,
-			Payload: words[i*chunkWords : (i*DispatchChunkBytes+(hi-lo)+7)/8],
+			Body:    body[lo:hi:hi],
 		})
 	}
 	var trailer [chunkTrailerLen]byte
@@ -148,18 +133,15 @@ func (s *ChunkStream) Add(m Message) error {
 	if m.Kind != KindDispatchChunk {
 		return fmt.Errorf("p2p: %v is not a chunk frame", m.Kind)
 	}
-	if m.Version != DispatchVersion {
-		return fmt.Errorf("%w, chunk has %v", ErrDispatchVersion, m.Version)
+	part, err := DispatchBody(m)
+	if err != nil {
+		return err
 	}
 	if m.Chunk != s.next {
 		return fmt.Errorf("p2p: chunk %d out of order (want %d)", m.Chunk, s.next)
 	}
-	if m.Meta == 0 {
+	if len(part) == 0 {
 		return fmt.Errorf("p2p: empty chunk %d", m.Chunk)
-	}
-	part, err := UnpackBytes(m.Payload, m.Meta)
-	if err != nil {
-		return err
 	}
 	if len(s.buf)+len(part) > MaxDispatchStream {
 		return fmt.Errorf("p2p: chunk stream exceeds cap %d", MaxDispatchStream)

@@ -51,8 +51,8 @@ func TestSplitChunksRoundTrip(t *testing.T) {
 			if m.Round != 7 || m.To != 3 {
 				t.Fatalf("n=%d: frame routing fields %+v", n, m)
 			}
-			if len(m.Payload)*8 > MaxDispatchBody+8 {
-				t.Fatalf("n=%d: frame payload breaches per-chunk bound", n)
+			if len(m.Body) > MaxDispatchBody || len(m.Payload) != 0 {
+				t.Fatalf("n=%d: frame breaches the per-frame body bound", n)
 			}
 		}
 		if got := reassemble(t, frames); !bytes.Equal(got, body) {
@@ -70,11 +70,11 @@ func TestSplitChunksSingleAllocation(t *testing.T) {
 	if len(frames) != 3 { // 2 chunks + terminal
 		t.Fatalf("%d frames, want 3", len(frames))
 	}
-	// Both chunks' payloads must share one backing array — the
-	// one-buffer-per-stream contract.
-	a, b := frames[0].Payload, frames[1].Payload
-	if &a[:cap(a)][cap(a)-1] != &b[len(b)-1] {
-		t.Fatal("chunk payloads do not share a backing array")
+	// Chunk bodies are sub-slices of the body itself — splitting copies
+	// no body bytes — and capped so no chunk can append into the next.
+	a, b := frames[0].Body, frames[1].Body
+	if &a[0] != &body[0] || &b[0] != &body[DispatchChunkBytes] || cap(a) != len(a) {
+		t.Fatal("chunk bodies do not alias the body")
 	}
 }
 
@@ -112,9 +112,9 @@ func TestChunkStreamRejectsCorruption(t *testing.T) {
 		frames := fresh()
 		var s ChunkStream
 		corrupt := frames[0]
-		words := append([]float64(nil), corrupt.Payload...)
-		words[0] = 0
-		corrupt.Payload = words
+		flipped := append([]byte(nil), corrupt.Body...)
+		flipped[0] ^= 0xFF
+		corrupt.Body = flipped
 		if err := s.Add(corrupt); err != nil {
 			t.Fatal(err) // per-chunk framing is still valid
 		}
@@ -150,27 +150,5 @@ func TestSplitChunksRejectsOversizedStream(t *testing.T) {
 	}
 	if _, err := SplitChunks(KindDispatchChunk, 1, 1, []byte("x")); err == nil {
 		t.Fatal("chunk kind accepted as stream terminal")
-	}
-}
-
-func TestPackBytesIntoReusesBuffer(t *testing.T) {
-	buf := make([]float64, 16)
-	a := PackBytesInto(buf, []byte("hello world, packed tight"))
-	if &a[0] != &buf[0] {
-		t.Fatal("PackBytesInto reallocated despite sufficient capacity")
-	}
-	if got := PackBytes([]byte("hello world, packed tight")); len(got) != len(a) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(got))
-	}
-	for i := range a {
-		if a[i] != PackBytes([]byte("hello world, packed tight"))[i] {
-			t.Fatal("PackBytesInto and PackBytes disagree")
-		}
-	}
-	// Growth path: short capacity must still produce a correct packing.
-	b := PackBytesInto(make([]float64, 0, 1), bytes.Repeat([]byte{7}, 100))
-	out, err := UnpackBytes(b, 100)
-	if err != nil || !bytes.Equal(out, bytes.Repeat([]byte{7}, 100)) {
-		t.Fatalf("grown packing round trip: %v", err)
 	}
 }

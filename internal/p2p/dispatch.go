@@ -1,10 +1,6 @@
 package p2p
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dispatch frames: the serve layer's remote-execution plane rides on
 // the same Transport and Message codec as the training data plane, so
@@ -12,16 +8,17 @@ import (
 // TCPNode for real deployments) carries dispatch traffic unchanged.
 //
 // A dispatch frame is a Message whose Kind is one of the KindDispatch*
-// values and whose opaque body (JSON at the protocol layer above) is
-// byte-packed into the float64 Payload:
+// values and whose opaque body (JSON, or a result's split body, at the
+// protocol layer above) travels as the Message's raw byte Body:
 //
-//	Version — DispatchVersion (protocol major version; receivers
-//	          reject mismatches rather than guessing at layouts)
+//	Version — DispatchVersion, the one dispatch protocol version
+//	          (receivers reject any other rather than guessing at
+//	          layouts)
 //	Round   — the dispatcher-assigned sequence number identifying the
 //	          in-flight run the frame belongs to
-//	Meta    — exact body length in bytes (the payload rounds up to
-//	          whole float64 words)
-//	Payload — ceil(Meta/8) words holding the body little-endian
+//	Chunk   — 0, or the chunk index / count of a chunk stream (chunk.go)
+//	Payload — empty
+//	Body    — the protocol body, at most MaxDispatchBody bytes
 //
 // DispatchBody is the single validating decoder: malformed, truncated
 // or oversized frames return errors, never panic — the fuzz targets in
@@ -30,13 +27,12 @@ import (
 // DispatchVersion is the dispatch protocol version stamped on every
 // frame. Bump it on any incompatible body or layout change; receivers
 // reject other versions with ErrDispatchVersion.
-const DispatchVersion = 1
+const DispatchVersion = 2
 
 // MaxDispatchBody bounds the body of a single dispatch frame (16 MiB).
 // It is a per-frame (equivalently per-chunk) bound, not a ceiling on a
-// logical body: result bodies routinely run to several megabytes (the
-// reference tiny job in BENCH_dispatch.json ships ≈5.5 MB of JSON), and
-// bodies larger than one frame travel as a chunk stream (see chunk.go),
+// logical body: result bodies run to 8 bytes per model parameter under
+// raw64, and bodies larger than one frame travel as a chunk stream (see chunk.go),
 // so model size is not capped here. The bound exists so a corrupt
 // length field in any one frame cannot demand an absurd allocation.
 const MaxDispatchBody = 16 << 20
@@ -56,60 +52,6 @@ func IsDispatchKind(k Kind) bool {
 	return false
 }
 
-// PackBytes encodes an opaque byte body into float64 words (8 bytes per
-// word, little-endian, zero-padded tail). The exact byte length must
-// travel separately (dispatch frames use Meta).
-func PackBytes(b []byte) []float64 {
-	return PackBytesInto(nil, b)
-}
-
-// PackBytesInto is PackBytes with a caller-owned destination: dst is
-// resized (reallocating only when capacity is short) and filled, so a
-// sender encoding many bodies can reuse one word buffer instead of
-// allocating per frame. The returned slice aliases dst when it fits —
-// callers must not reuse the buffer until the frame built from it has
-// been fully handed off (transports share payload slices with
-// receivers; SplitChunks sidesteps this by packing a stream's whole
-// body once and sub-slicing per chunk).
-func PackBytesInto(dst []float64, b []byte) []float64 {
-	n := (len(b) + 7) / 8
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	} else {
-		dst = dst[:n]
-	}
-	full := len(b) / 8
-	for i := 0; i < full; i++ {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	if full < n {
-		var tail [8]byte
-		copy(tail[:], b[full*8:])
-		dst[full] = math.Float64frombits(binary.LittleEndian.Uint64(tail[:]))
-	}
-	return dst
-}
-
-// UnpackBytes reverses PackBytes: it extracts n bytes from the word
-// payload, rejecting lengths that do not fit the payload exactly
-// (padding beyond the final word would mean a torn or forged frame).
-func UnpackBytes(payload []float64, n int) ([]byte, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("p2p: negative dispatch body length %d", n)
-	}
-	if n > MaxDispatchBody {
-		return nil, fmt.Errorf("p2p: dispatch body %d bytes exceeds cap %d", n, MaxDispatchBody)
-	}
-	if want := (n + 7) / 8; want != len(payload) {
-		return nil, fmt.Errorf("p2p: dispatch body %d bytes needs %d payload words, frame has %d", n, want, len(payload))
-	}
-	out := make([]byte, len(payload)*8)
-	for i, w := range payload {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(w))
-	}
-	return out[:n], nil
-}
-
 // NewDispatchFrame builds a dispatch-plane message: kind must be a
 // KindDispatch* value, seq identifies the in-flight run, and body is
 // the opaque protocol payload (the sender's transport fills From).
@@ -124,16 +66,16 @@ func NewDispatchFrame(kind Kind, to, seq int, body []byte) (Message, error) {
 		Kind:    kind,
 		To:      to,
 		Round:   seq,
-		Meta:    len(body),
 		Version: DispatchVersion,
-		Payload: PackBytes(body),
+		Body:    body,
 	}, nil
 }
 
 // DispatchBody validates a dispatch frame and returns its body bytes.
-// It errors on non-dispatch kinds, protocol version mismatches and any
-// Meta/Payload inconsistency; it never panics, whatever the frame
-// contents (fuzzed in fuzz_test.go).
+// It errors on non-dispatch kinds, protocol version mismatches, a
+// float64 payload (dispatch frames carry bytes only) and bodies past
+// MaxDispatchBody; it never panics, whatever the frame contents
+// (fuzzed in fuzz_test.go). The returned body aliases m.Body.
 func DispatchBody(m Message) ([]byte, error) {
 	if !IsDispatchKind(m.Kind) {
 		return nil, fmt.Errorf("p2p: %v is not a dispatch kind", m.Kind)
@@ -141,5 +83,11 @@ func DispatchBody(m Message) ([]byte, error) {
 	if m.Version != DispatchVersion {
 		return nil, fmt.Errorf("%w, frame has %v", ErrDispatchVersion, m.Version)
 	}
-	return UnpackBytes(m.Payload, m.Meta)
+	if len(m.Payload) != 0 {
+		return nil, fmt.Errorf("p2p: dispatch frame carries %d payload words", len(m.Payload))
+	}
+	if len(m.Body) > MaxDispatchBody {
+		return nil, fmt.Errorf("p2p: dispatch body %d bytes exceeds cap %d", len(m.Body), MaxDispatchBody)
+	}
+	return m.Body, nil
 }

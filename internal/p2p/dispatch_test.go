@@ -21,7 +21,7 @@ func TestDispatchFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewDispatchFrame(%d bytes): %v", len(body), err)
 		}
-		if m.Round != 42 || m.To != 3 || m.Meta != len(body) {
+		if m.Round != 42 || m.To != 3 || m.Version != DispatchVersion || len(m.Payload) != 0 {
 			t.Fatalf("frame header mangled: %+v", m)
 		}
 		// Through the wire codec, as every transport sends it.
@@ -51,35 +51,27 @@ func TestDispatchBodyRejects(t *testing.T) {
 		t.Error("non-dispatch kind accepted")
 	}
 
-	wrongVersion := good
-	wrongVersion.Version = DispatchVersion + 1
-	if _, err := DispatchBody(wrongVersion); !errors.Is(err, ErrDispatchVersion) {
-		t.Errorf("version mismatch: got %v, want ErrDispatchVersion", err)
+	// Version 1 is the retired generation; any other version is refused
+	// the same way.
+	for _, v := range []float64{1, DispatchVersion + 1} {
+		wrongVersion := good
+		wrongVersion.Version = v
+		if _, err := DispatchBody(wrongVersion); !errors.Is(err, ErrDispatchVersion) {
+			t.Errorf("version %v: got %v, want ErrDispatchVersion", v, err)
+		}
 	}
 
-	truncated := good
-	truncated.Payload = truncated.Payload[:0]
-	if _, err := DispatchBody(truncated); err == nil {
-		t.Error("truncated payload accepted")
-	}
-
-	negative := good
-	negative.Meta = -1
-	if _, err := DispatchBody(negative); err == nil {
-		t.Error("negative body length accepted")
+	// Bytes smuggled into the float64 payload are a forged frame.
+	words := good
+	words.Payload = []float64{1}
+	if _, err := DispatchBody(words); err == nil {
+		t.Error("dispatch frame with payload words accepted")
 	}
 
 	oversized := good
-	oversized.Meta = MaxDispatchBody + 1
+	oversized.Body = make([]byte, MaxDispatchBody+1)
 	if _, err := DispatchBody(oversized); err == nil {
-		t.Error("oversized body length accepted")
-	}
-
-	// Meta claiming fewer bytes than the payload holds is a torn frame.
-	short := good
-	short.Meta = 0
-	if _, err := DispatchBody(short); err == nil {
-		t.Error("short body length over full payload accepted")
+		t.Error("oversized body accepted")
 	}
 }
 

@@ -16,11 +16,16 @@ func FuzzDispatchBody(f *testing.F) {
 	f.Add(seed.Marshal())
 	empty, _ := NewDispatchFrame(KindDispatchCancel, 1, 3, nil)
 	f.Add(empty.Marshal())
-	// A dispatch kind whose Meta disagrees with its payload.
-	torn := seed
-	torn.Meta = 4096
-	f.Add(torn.Marshal())
 	f.Add([]byte{byte(KindDispatchResult), 0, 1})
+	// Body-length fields that overrun the buffer, underrun it, and
+	// exceed the per-frame cap.
+	for _, claim := range []uint32{4096, 3, MaxDispatchBody + 1} {
+		f.Add(withBodyLen(seed.Marshal(), claim))
+	}
+	// A version-1 frame.
+	old := seed
+	old.Version = 1
+	f.Add(old.Marshal())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
 		if err != nil {
@@ -44,37 +49,11 @@ func FuzzDispatchBody(f *testing.F) {
 	})
 }
 
-// FuzzUnpackBytes exercises the byte-packing layer directly with
-// arbitrary payload words and claimed lengths.
-func FuzzUnpackBytes(f *testing.F) {
-	f.Add([]byte("hello world"), 11)
-	f.Add([]byte{}, 0)
-	f.Add([]byte{1, 2, 3}, -5)
-	f.Add([]byte{1, 2, 3}, 1<<30)
-	f.Fuzz(func(t *testing.T, words []byte, n int) {
-		payload := make([]float64, len(words)/8)
-		for i := range payload {
-			payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(words[i*8:]))
-		}
-		b, err := UnpackBytes(payload, n)
-		if err != nil {
-			return
-		}
-		if len(b) != n {
-			t.Fatalf("UnpackBytes returned %d bytes for claimed length %d", len(b), n)
-		}
-		repacked := PackBytes(b)
-		if len(repacked) != len(payload) {
-			t.Fatalf("repack length %d != %d", len(repacked), len(payload))
-		}
-	})
-}
-
 // FuzzChunkReassembly drives the chunk-stream reassembler two ways:
-// arbitrary wire bytes decoded into frames must never panic it, and a
-// stream legitimately split from the fuzzed body must reassemble to
-// exactly that body — with any single-byte corruption of a chunk
-// payload caught by the trailer checksum.
+// frames carrying arbitrary bodies must never panic it, and a stream
+// legitimately split from the fuzzed body must reassemble to exactly
+// that body — with any single-bit corruption of a chunk body caught by
+// the trailer checksum.
 func FuzzChunkReassembly(f *testing.F) {
 	big := make([]byte, DispatchChunkBytes+99)
 	for i := range big {
@@ -83,6 +62,8 @@ func FuzzChunkReassembly(f *testing.F) {
 	f.Add(big[:300], uint16(0), byte(0))
 	f.Add(big[:0], uint16(1), byte(1))
 	f.Add([]byte("hello chunked world"), uint16(9), byte(3))
+	// A real two-chunk stream, so the bit-flip property runs on seeds.
+	f.Add(big, uint16(5), byte(3))
 	f.Fuzz(func(t *testing.T, body []byte, flip uint16, arbitrary byte) {
 		// Property 1: a legitimate split round-trips.
 		frames, err := SplitChunks(KindDispatchResult, 1, 2, body)
@@ -106,16 +87,14 @@ func FuzzChunkReassembly(f *testing.F) {
 			t.Fatalf("round trip broke: %v", err)
 		}
 		// Property 2: arbitrary frames never panic the reassembler.
-		// Mutate one frame at a fuzz-chosen position and replay.
+		// Flip one bit of one chunk body at a fuzz-chosen position and
+		// replay.
 		if len(frames) > 1 {
 			i := int(flip) % (len(frames) - 1)
 			corrupt := frames[i]
-			words := append([]float64(nil), corrupt.Payload...)
-			if len(words) > 0 {
-				w := math.Float64bits(words[int(flip)%len(words)])
-				words[int(flip)%len(words)] = math.Float64frombits(w ^ (1 << (arbitrary % 64)))
-			}
-			corrupt.Payload = words
+			flipped := append([]byte(nil), corrupt.Body...)
+			flipped[int(flip)%len(flipped)] ^= 1 << (arbitrary % 8)
+			corrupt.Body = flipped
 			var cs ChunkStream
 			ok := true
 			for j, m := range frames[:len(frames)-1] {
@@ -127,18 +106,18 @@ func FuzzChunkReassembly(f *testing.F) {
 					break
 				}
 			}
-			if ok && len(words) > 0 {
+			if ok {
 				if _, err := cs.Finish(term); err == nil {
-					t.Fatal("flipped payload bit slipped past the checksum")
+					t.Fatal("flipped body bit slipped past the checksum")
 				}
 			}
 		}
-		// Property 3: a hostile frame stream (raw fuzz bytes as frames)
-		// errors instead of panicking.
+		// Property 3: a hostile frame stream (fuzz bytes as chunk and
+		// trailer bodies, fuzz-chosen chunk numbers) errors instead of
+		// panicking.
 		var hs ChunkStream
-		m := Message{Kind: KindDispatchChunk, Chunk: 0, Meta: int(flip), Version: DispatchVersion, Payload: PackBytes(body)}
-		_ = hs.Add(m)
-		_, _ = hs.Finish(Message{Kind: KindDispatchResult, Chunk: int(arbitrary), Meta: len(body), Version: DispatchVersion, Payload: PackBytes(body)})
+		_ = hs.Add(Message{Kind: KindDispatchChunk, Chunk: int(flip) % 2, Version: DispatchVersion, Body: body})
+		_, _ = hs.Finish(Message{Kind: KindDispatchResult, Chunk: int(arbitrary), Version: DispatchVersion, Body: body})
 	})
 }
 
@@ -193,8 +172,15 @@ func FuzzCodecDecode(f *testing.F) {
 func FuzzUnmarshal(f *testing.F) {
 	f.Add(Message{Kind: KindParams, From: 1, To: 2, Round: 3, Payload: []float64{1, 2}}.Marshal())
 	f.Add(Message{Kind: KindHeartbeat}.Marshal())
+	f.Add(Message{Kind: KindDispatchResult, Round: 4, Version: DispatchVersion, Body: []byte(`{"token":"t"}`)}.Marshal())
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
+	// Body-length fields that overrun the buffer, underrun it, and
+	// exceed the per-frame cap.
+	withBody := Message{Kind: KindParams, Payload: []float64{1}, Body: []byte("body")}.Marshal()
+	for _, claim := range []uint32{5, 3, MaxDispatchBody + 1} {
+		f.Add(withBodyLen(withBody, claim))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
 		if err != nil {
@@ -205,4 +191,12 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("decoded message re-encodes differently:\n in  %x\n out %x", data, re)
 		}
 	})
+}
+
+// withBodyLen returns a copy of an encoded message with its body-length
+// field forged to claim.
+func withBodyLen(wire []byte, claim uint32) []byte {
+	forged := append([]byte(nil), wire...)
+	binary.LittleEndian.PutUint32(forged[headerBytes-4:], claim)
+	return forged
 }

@@ -1,9 +1,10 @@
 // Package p2p implements HADFL's decentralized data plane: the wire
-// message format, a deterministic simulated network with latency,
-// bandwidth, loss and crash modeling (used by all experiments), a real
-// TCP transport for live deployments, and the gossip-style ring
+// message format, the α–β communication cost model the simulated
+// schemes charge to virtual time, an in-process and a real TCP
+// transport for live deployments, the gossip-style ring
 // scatter-gather all-reduce with the paper's fault-tolerant bypass
-// protocol (§III-D).
+// protocol (§III-D), and the dispatch frames and parameter codecs the
+// serve layer's remote-execution plane rides on.
 package p2p
 
 import (
@@ -82,8 +83,14 @@ func (k Kind) String() string {
 
 // Message is the unit of communication between devices (and between
 // devices and the coordinator). Payload carries parameter/gradient data;
-// Meta carries small integer fields whose meaning depends on Kind (e.g.
+// Body carries opaque bytes (the dispatch plane's protocol bodies); Meta
+// carries small integer fields whose meaning depends on Kind (e.g.
 // chunk index for ring all-reduce, dead-device id for warnings).
+//
+// The wire encoding, little-endian:
+//
+//	kind u8 | from, to, round, chunk, meta i32 | version f64 |
+//	payload len u32 | body len u32 | payload f64s | body bytes
 type Message struct {
 	Kind    Kind
 	From    int
@@ -93,14 +100,14 @@ type Message struct {
 	Meta    int // kind-specific small field
 	Version float64
 	Payload []float64
+	Body    []byte
 }
 
-const headerBytes = 1 + 4*5 + 8 + 4 // kind + 5 int32 + version + payload len
+const headerBytes = 1 + 4*5 + 8 + 4 + 4 // kind + 5 int32 + version + payload len + body len
 
-// WireSize returns the encoded size in bytes, the quantity all
-// communication-volume accounting uses.
+// WireSize returns the encoded size in bytes.
 func (m Message) WireSize() int {
-	return headerBytes + 8*len(m.Payload)
+	return headerBytes + 8*len(m.Payload) + len(m.Body)
 }
 
 // Marshal encodes the message into a self-delimiting byte slice.
@@ -115,15 +122,18 @@ func (m Message) Marshal() []byte {
 	binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(m.Version))
 	off += 8
 	binary.LittleEndian.PutUint32(buf[off:], uint32(len(m.Payload)))
-	off += 4
+	binary.LittleEndian.PutUint32(buf[off+4:], uint32(len(m.Body)))
+	off += 8
 	for _, v := range m.Payload {
 		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
 		off += 8
 	}
+	copy(buf[off:], m.Body)
 	return buf
 }
 
-// Unmarshal decodes a message previously produced by Marshal.
+// Unmarshal decodes a message previously produced by Marshal. The
+// decoded Body aliases buf; Payload is a fresh slice.
 func Unmarshal(buf []byte) (Message, error) {
 	if len(buf) < headerBytes {
 		return Message{}, fmt.Errorf("p2p: message too short: %d bytes", len(buf))
@@ -139,10 +149,11 @@ func Unmarshal(buf []byte) (Message, error) {
 	m.From, m.To, m.Round, m.Chunk, m.Meta = ints[0], ints[1], ints[2], ints[3], ints[4]
 	m.Version = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 	off += 8
-	n := int(binary.LittleEndian.Uint32(buf[off:]))
-	off += 4
-	if n < 0 || len(buf) != off+8*n {
-		return Message{}, fmt.Errorf("p2p: payload length %d does not match buffer %d", n, len(buf))
+	n := uint64(binary.LittleEndian.Uint32(buf[off:]))
+	nb := uint64(binary.LittleEndian.Uint32(buf[off+4:]))
+	off += 8
+	if uint64(len(buf)) != uint64(off)+8*n+nb {
+		return Message{}, fmt.Errorf("p2p: payload %d words + body %d bytes do not match buffer %d", n, nb, len(buf))
 	}
 	if n > 0 {
 		m.Payload = make([]float64, n)
@@ -150,6 +161,9 @@ func Unmarshal(buf []byte) (Message, error) {
 			m.Payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
 		}
+	}
+	if nb > 0 {
+		m.Body = buf[off:]
 	}
 	return m, nil
 }

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ import (
 func TestMessageRoundTrip(t *testing.T) {
 	m := Message{
 		Kind: KindParams, From: 3, To: 7, Round: 42, Chunk: 2, Meta: -1,
-		Version: 13.5, Payload: []float64{1.5, -2.25, math.Pi},
+		Version: 13.5, Payload: []float64{1.5, -2.25, math.Pi}, Body: []byte("raw bytes"),
 	}
 	got, err := Unmarshal(m.Marshal())
 	if err != nil {
@@ -26,6 +27,9 @@ func TestMessageRoundTrip(t *testing.T) {
 			t.Fatalf("payload mismatch at %d", i)
 		}
 	}
+	if !bytes.Equal(got.Body, m.Body) {
+		t.Fatalf("body %q, want %q", got.Body, m.Body)
+	}
 }
 
 func TestMessageEmptyPayload(t *testing.T) {
@@ -34,15 +38,15 @@ func TestMessageEmptyPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Payload) != 0 {
-		t.Fatalf("payload %v", got.Payload)
+	if got.Payload != nil || got.Body != nil {
+		t.Fatalf("payload %v body %v, want both nil", got.Payload, got.Body)
 	}
 }
 
 func TestUnmarshalRejectsTruncated(t *testing.T) {
-	m := Message{Kind: KindParams, Payload: []float64{1, 2, 3}}
+	m := Message{Kind: KindParams, Payload: []float64{1, 2, 3}, Body: []byte("tail")}
 	buf := m.Marshal()
-	for _, cut := range []int{0, 5, headerBytes - 1, len(buf) - 1} {
+	for _, cut := range []int{0, 5, headerBytes - 1, headerBytes + 8, len(buf) - 1} {
 		if _, err := Unmarshal(buf[:cut]); err == nil {
 			t.Errorf("truncation to %d bytes did not error", cut)
 		}
@@ -53,8 +57,20 @@ func TestUnmarshalRejectsTruncated(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsBodyLengthMismatch forges the body-length field:
+// a claim that overruns the buffer, one that underruns it, and one far
+// past any frame bound must all be rejected before any allocation.
+func TestUnmarshalRejectsBodyLengthMismatch(t *testing.T) {
+	buf := Message{Kind: KindDispatchResult, Body: []byte("0123456789")}.Marshal()
+	for _, claim := range []uint32{11, 9, 0, MaxDispatchBody + 1, math.MaxUint32} {
+		if _, err := Unmarshal(withBodyLen(buf, claim)); err == nil {
+			t.Errorf("body length %d over a 10-byte body accepted", claim)
+		}
+	}
+}
+
 func TestWireSizeMatchesMarshal(t *testing.T) {
-	m := Message{Kind: KindParams, Payload: make([]float64, 17)}
+	m := Message{Kind: KindParams, Payload: make([]float64, 17), Body: make([]byte, 5)}
 	if m.WireSize() != len(m.Marshal()) {
 		t.Fatalf("WireSize %d vs Marshal %d", m.WireSize(), len(m.Marshal()))
 	}
@@ -82,7 +98,9 @@ func TestPropertyMessageRoundTrip(t *testing.T) {
 			Kind: Kind(kRaw%10 + 1), From: int(from), To: int(to),
 			Round: int(round), Chunk: int(chunk), Meta: int(meta), Version: version,
 			Payload: make([]float64, int(nRaw%64)),
+			Body:    make([]byte, int(nRaw%13)),
 		}
+		rng.Read(m.Body)
 		for i := range m.Payload {
 			m.Payload[i] = rng.NormFloat64() * 1e6
 		}
@@ -92,7 +110,8 @@ func TestPropertyMessageRoundTrip(t *testing.T) {
 		}
 		if got.Kind != m.Kind || got.From != m.From || got.To != m.To ||
 			got.Round != m.Round || got.Chunk != m.Chunk || got.Meta != m.Meta ||
-			got.Version != m.Version || len(got.Payload) != len(m.Payload) {
+			got.Version != m.Version || len(got.Payload) != len(m.Payload) ||
+			!bytes.Equal(got.Body, m.Body) {
 			return false
 		}
 		for i := range m.Payload {

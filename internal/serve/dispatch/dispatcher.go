@@ -34,8 +34,7 @@ type Config struct {
 	Local Runner
 	// Codec is the preferred parameter wire codec for dispatched
 	// results (see p2p.ParamCodecNames). A worker that does not
-	// advertise it gets raw64; a worker advertising nothing (legacy)
-	// gets the inline-JSON exchange. Default raw64 — bit-exact, so the
+	// advertise it gets raw64. Default raw64 — bit-exact, so the
 	// byte-determinism contract is untouched by default.
 	Codec string
 	// HeartbeatEvery is the liveness probe period. Default 500ms.
@@ -95,7 +94,7 @@ type workerState struct {
 	alive    bool
 	seen     time.Time // last frame proving a compatible worker
 	capacity int       // from its hello ack; 0 = unknown (treated as 1)
-	codecs   []string  // param codecs from its hello ack; empty = legacy
+	codecs   []string  // param codecs from its hello ack
 	inflight int
 	probing  bool // a heartbeat/hello send is in flight to it
 
@@ -306,10 +305,10 @@ func (d *Dispatcher) WaitReady(ctx context.Context, n int) error {
 
 // recvLoop routes every inbound frame. Liveness refreshes only on
 // frames that prove a protocol-compatible worker — heartbeat acks,
-// hello acks whose version matches, and frames for a pending call —
-// so a version-skewed worker rejecting our hellos is never marked
-// live (its jobs would all fail non-transiently; leaving it down
-// routes them to healthy workers or the local fallback instead).
+// hello acks that decode, and frames for a pending call — so a
+// version-skewed worker is never marked live (its jobs would all fail
+// non-transiently; leaving it down routes them to healthy workers or
+// the local fallback instead).
 // Bodies are JSON-decoded before taking d.mu: a multi-megabyte result
 // must not stall claimWorker or the liveness probe. Stale frames — a
 // late result from a worker the run was already retried away from —
@@ -333,7 +332,7 @@ func (d *Dispatcher) recvLoop() {
 			d.mu.Unlock()
 		case p2p.KindDispatchHello:
 			var h helloBody
-			if err := decodeBody(m, &h); err != nil || h.Proto != proto {
+			if err := decodeBody(m, &h); err != nil {
 				d.reg.Inc("dispatch_bad_hellos_total")
 				continue
 			}
@@ -372,21 +371,20 @@ func (d *Dispatcher) recvLoop() {
 		case p2p.KindDispatchResult, p2p.KindDispatchError:
 			var o outcome
 			body, err := d.terminalBody(m)
-			if err == nil {
+			switch {
+			case err != nil:
+			case m.Kind == p2p.KindDispatchResult:
+				// The body's full size on the wire — reassembled when
+				// it arrived as a chunk stream.
+				d.reg.ObserveBytes("dispatch_result_frame_bytes", float64(len(body)))
 				var jsonData []byte
-				jsonData, o.paramData, err = decodeSplitBody(body)
-				if err == nil {
-					if m.Kind == p2p.KindDispatchResult {
-						// The body's full size on the wire — reassembled
-						// when it arrived as a chunk stream.
-						d.reg.ObserveBytes("dispatch_result_frame_bytes", float64(len(body)))
-						o.res = &resultBody{}
-						err = json.Unmarshal(jsonData, o.res)
-					} else {
-						o.errb = &errorBody{}
-						err = json.Unmarshal(jsonData, o.errb)
-					}
+				if jsonData, o.paramData, err = decodeSplitBody(body); err == nil {
+					o.res = &resultBody{}
+					err = json.Unmarshal(jsonData, o.res)
 				}
+			default:
+				o.errb = &errorBody{}
+				err = json.Unmarshal(body, o.errb)
 			}
 			if err != nil {
 				o = outcome{errb: &errorBody{Message: err.Error()}, corrupt: true}
@@ -479,7 +477,7 @@ func (d *Dispatcher) addChunk(m p2p.Message) {
 }
 
 // terminalBody yields a terminal frame's complete body: the frame's
-// own body when monolithic (Chunk=0, the legacy shape), otherwise the
+// own body when monolithic (Chunk=0), otherwise the
 // reassembled stream the frame's trailer closes and checksums. Either
 // way the sequence's stream entry is retired.
 func (d *Dispatcher) terminalBody(m p2p.Message) ([]byte, error) {
@@ -588,9 +586,7 @@ func (d *Dispatcher) probe() {
 	for _, id := range hello {
 		id := id
 		send(id, func() {
-			_ = sendFrame(d.cfg.Transport, p2p.KindDispatchHello, id, 0, helloBody{
-				Proto: proto, ReplyAddr: d.cfg.ReplyAddr,
-			})
+			_ = sendFrame(d.cfg.Transport, p2p.KindDispatchHello, id, 0, helloBody{ReplyAddr: d.cfg.ReplyAddr})
 		})
 	}
 }
@@ -772,7 +768,7 @@ func (d *Dispatcher) runOn(ctx context.Context, ws *workerState, fp, scheme stri
 		d.mu.Unlock()
 	}()
 
-	req := requestBody{Proto: proto, Token: d.token, JobID: fp, Scheme: scheme, Options: toWire(opts), Codec: codec}
+	req := requestBody{Token: d.token, JobID: fp, Scheme: scheme, Options: toWire(opts), Codec: codec}
 	span.SetAttr("codec", codec)
 	if sc := span.Context(); sc.Valid() {
 		req.Trace = &wireTrace{TraceID: sc.TraceID, SpanID: sc.SpanID}
@@ -891,68 +887,61 @@ func (d *Dispatcher) finish(ctx context.Context, ws *workerState, o outcome, can
 			return nil, fmt.Errorf("dispatch: worker %d: %s", ws.id, eb.Message), false
 		}
 	}
-	if err := d.decodeParams(o.res, o.paramData, opts); err != nil {
+	params, err := d.decodeParams(o.res, o.paramData, opts)
+	if err != nil {
 		// The section failed, not the run: reruns are deterministic and
 		// safe, so a torn or undecodable parameter exchange retries like
 		// a lost worker.
 		return nil, fmt.Errorf("dispatch: worker %d result params: %w", ws.id, err), true
 	}
 	d.reg.Inc("dispatch_remote_total")
-	return o.res.toResult(), nil, false
+	return o.res.toResult(params), nil, false
 }
 
 // chooseCodec negotiates the parameter wire codec for one request:
 // the dispatcher's preference if the worker advertised it, otherwise
-// raw64 (which every codec-speaking worker advertises), otherwise ""
-// — the legacy inline-JSON exchange for workers that advertised
-// nothing.
+// raw64, which every worker encodes.
 func chooseCodec(preferred string, advertised []string) string {
-	raw := false
 	for _, name := range advertised {
 		if name == preferred {
 			return preferred
 		}
-		raw = raw || name == p2p.ParamCodecRaw64
 	}
-	if raw {
-		return p2p.ParamCodecRaw64
-	}
-	return ""
+	return p2p.ParamCodecRaw64
 }
 
-// decodeParams rebuilds a codec-path result's final parameter vector
-// from its still-encoded binary section — in the waiting call's
-// goroutine, never recvLoop's, because reference-based codecs derive
-// the run's initial model here and that must not stall frame routing.
-// Legacy bodies (no codec) pass through: their FinalParams came inline.
-func (d *Dispatcher) decodeParams(res *resultBody, paramData []byte, opts hadfl.Options) error {
-	if res.ParamCodec == "" {
-		return nil
-	}
+// decodeParams rebuilds a result's final parameter vector from its
+// still-encoded binary section — in the waiting call's goroutine, never
+// recvLoop's, because reference-based codecs derive the run's initial
+// model here and that must not stall frame routing. An empty vector
+// decodes to nil, as a local run reports it.
+func (d *Dispatcher) decodeParams(res *resultBody, paramData []byte, opts hadfl.Options) ([]float64, error) {
 	codec, ok := p2p.ParamCodecByName(res.ParamCodec)
 	if !ok {
-		return fmt.Errorf("unknown param codec %q", res.ParamCodec)
+		return nil, fmt.Errorf("unknown param codec %q", res.ParamCodec)
 	}
 	var ref []float64
 	if codec.UsesRef() && res.ParamRef == paramRefInit {
 		r, err := hadfl.InitialParams(opts)
 		if err != nil {
-			return fmt.Errorf("derive %q reference: %w", res.ParamRef, err)
+			return nil, fmt.Errorf("derive %q reference: %w", res.ParamRef, err)
 		}
 		ref = r
 	}
 	params, err := codec.Decode(paramData, ref, res.ParamCount)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	res.FinalParams = params
 	d.reg.Add("dispatch_wire_raw_bytes_total", int64(8*res.ParamCount))
 	d.reg.Add("dispatch_wire_encoded_bytes_total", int64(len(paramData)))
 	d.reg.Inc("dispatch_wire_codec_" + metrics.SanitizeName(res.ParamCodec) + "_total")
 	if !res.ParamExact {
 		d.reg.Inc("dispatch_wire_lossy_results_total")
 	}
-	return nil
+	if len(params) == 0 {
+		return nil, nil
+	}
+	return params, nil
 }
 
 // recordRemoteSpans lands the worker-side spans a terminal frame

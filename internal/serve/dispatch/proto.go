@@ -7,17 +7,20 @@
 // # Wire protocol
 //
 // Every exchange is a p2p dispatch frame (p2p.NewDispatchFrame): a
-// versioned Message whose JSON body is byte-packed into the payload and
-// whose Round field carries the dispatcher-assigned sequence number
-// identifying the in-flight run. The frames:
+// Message stamped with p2p.DispatchVersion whose raw byte Body carries
+// the protocol body and whose Round field carries the
+// dispatcher-assigned sequence number identifying the in-flight run.
+// The frames:
 //
-//	hello    dispatcher → worker   registration probe; body carries the
-//	                               protocol version and (on TCP) the
-//	                               dispatcher's dial-back address
+//	hello    dispatcher → worker   registration probe; body carries (on
+//	                               TCP) the dispatcher's dial-back
+//	                               address
 //	hello    worker → dispatcher   registration ack; body carries the
-//	                               worker's capacity
+//	                               worker's capacity and the parameter
+//	                               codecs it encodes
 //	request  dispatcher → worker   a run: job fingerprint, scheme,
-//	                               options, remaining deadline, and the
+//	                               options, remaining deadline, the
+//	                               negotiated parameter codec, and the
 //	                               dispatcher's random instance token
 //	                               (workers key runs by sender + token +
 //	                               sequence, so serve restarts cannot
@@ -27,8 +30,10 @@
 //	                               body (p2p.KindDispatchChunk); the
 //	                               closing result/error frame carries the
 //	                               stream's length + checksum trailer
-//	result   worker → dispatcher   terminal success: summary, curve and
-//	                               final parameter vector
+//	result   worker → dispatcher   terminal success: a split body — the
+//	                               summary and curve as JSON, the final
+//	                               parameter vector as the codec's binary
+//	                               section (see encodeSplitBody)
 //	error    worker → dispatcher   terminal failure: message + flags
 //	                               (canceled / timeout / busy)
 //	cancel   dispatcher → worker   abort the sequence's run; the worker
@@ -36,8 +41,15 @@
 //	                               cooperatively within about one device
 //	                               step and reports back an error frame
 //
-// Plain p2p heartbeat/ack messages (KindHeartbeat/KindAck) probe worker
-// liveness between runs; any frame from a worker refreshes it.
+// Bodies are JSON except the result's split body. Plain p2p
+// heartbeat/ack messages (KindHeartbeat/KindAck) probe worker liveness
+// between runs; any frame from a worker refreshes it.
+//
+// There is one protocol version, the frame's. A frame stamped with any
+// other fails p2p.DispatchBody with p2p.ErrDispatchVersion: the
+// dispatcher counts such a hello ack on dispatch_bad_hellos_total and
+// never marks its sender live, and the worker answers such a hello or
+// request with an error frame.
 //
 // # Determinism contract
 //
@@ -66,7 +78,6 @@
 package dispatch
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -77,24 +88,17 @@ import (
 	"hadfl/internal/trace"
 )
 
-// proto is the dispatch protocol version carried inside hello and
-// request bodies (the frame layer has its own p2p.DispatchVersion).
-// Workers reject requests from other protocol versions.
-const proto = 1
-
 // helloBody rides registration probes (dispatcher → worker) and acks
 // (worker → dispatcher).
 type helloBody struct {
-	Proto int `json:"proto"`
 	// ReplyAddr is the dispatcher's transport address for dial-back
 	// replies; empty on transports with id-based routing (ChanHub).
 	ReplyAddr string `json:"replyAddr,omitempty"`
 	// Capacity is the worker's concurrent-run budget (ack direction).
 	Capacity int `json:"capacity,omitempty"`
 	// Codecs advertises the parameter wire codecs the worker can encode
-	// (ack direction), in its order of preference. An empty list marks a
-	// legacy worker: the dispatcher then requests no codec and the result
-	// comes back as one monolithic JSON frame with FinalParams inline.
+	// (ack direction), in its order of preference. Every worker encodes
+	// raw64, advertised or not.
 	Codecs []string `json:"codecs,omitempty"`
 }
 
@@ -150,7 +154,6 @@ func (o reqOptions) toOptions() hadfl.Options {
 
 // requestBody asks a worker to execute one run.
 type requestBody struct {
-	Proto int `json:"proto"`
 	// Token is the dispatcher instance's random identity. Workers key
 	// in-flight runs by (sender, token, sequence), so a restarted or
 	// second serve process — whose sequence numbers restart at 1 and
@@ -167,11 +170,8 @@ type requestBody struct {
 	Options     reqOptions `json:"options"`
 	// Codec names the parameter wire codec the worker should encode the
 	// final parameter vector with (chosen from the worker's advertised
-	// list). Empty means legacy: FinalParams inline in the JSON body, one
-	// monolithic frame. Non-empty doubles as the capability signal that
-	// this dispatcher reassembles split bodies and chunk streams; a
-	// worker that does not recognize the name falls back to raw64, never
-	// to legacy.
+	// list). A worker that does not recognize the name encodes with
+	// raw64.
 	Codec string `json:"codec,omitempty"`
 	// Trace carries the dispatcher's span context so the worker's spans
 	// join the same trace (see wireTrace). Tracing is passive: this field
@@ -227,8 +227,10 @@ type roundBody struct {
 // hadfl.InitialParams, so reference-based codecs never ship it.
 const paramRefInit = "init"
 
-// resultBody is a terminal success: everything needed to rebuild the
-// hadfl.Result the run would have produced locally.
+// resultBody is the JSON section of a terminal success: with the
+// binary parameter section beside it (see encodeSplitBody), everything
+// needed to rebuild the hadfl.Result the run would have produced
+// locally.
 type resultBody struct {
 	Token       string          `json:"token,omitempty"` // echoes requestBody.Token, see roundBody
 	Scheme      string          `json:"scheme"`
@@ -241,16 +243,11 @@ type resultBody struct {
 	EvalSeconds float64         `json:"evalSeconds,omitempty"`
 	CurveName   string          `json:"curveName,omitempty"`
 	Curve       []metrics.Point `json:"curve,omitempty"`
-	// FinalParams carries the final parameter vector inline on the
-	// legacy path only (request had no Codec). On the codec path it is
-	// empty and the vector travels as the split body's binary parameter
-	// section, described by the Param* fields below.
-	FinalParams []float64 `json:"finalParams,omitempty"`
 	// ParamCodec names the codec that encoded the binary parameter
-	// section; empty means FinalParams is inline (legacy).
-	ParamCodec string `json:"paramCodec,omitempty"`
+	// section.
+	ParamCodec string `json:"paramCodec"`
 	// ParamCount is the encoded vector's length; the receiver validates
-	// it before allocating.
+	// it before allocating. 0 means no parameters (decoded as nil).
 	ParamCount int `json:"paramCount,omitempty"`
 	// ParamExact reports the codec's exactness bit for this encode: true
 	// means the decoded vector is bit-identical to the worker's.
@@ -275,7 +272,6 @@ func toResultBody(res *hadfl.Result) resultBody {
 		ServerBytes: res.ServerBytes,
 		EvalBatches: res.EvalBatches,
 		EvalSeconds: res.EvalSeconds,
-		FinalParams: res.FinalParams,
 	}
 	if res.Series != nil {
 		b.CurveName = res.Series.Name
@@ -284,7 +280,8 @@ func toResultBody(res *hadfl.Result) resultBody {
 	return b
 }
 
-func (b resultBody) toResult() *hadfl.Result {
+// toResult rebuilds the run's result around its decoded parameters.
+func (b resultBody) toResult(params []float64) *hadfl.Result {
 	return &hadfl.Result{
 		Scheme:      b.Scheme,
 		Accuracy:    b.Accuracy,
@@ -295,7 +292,7 @@ func (b resultBody) toResult() *hadfl.Result {
 		EvalBatches: b.EvalBatches,
 		EvalSeconds: b.EvalSeconds,
 		Series:      &metrics.Series{Name: b.CurveName, Points: b.Curve},
-		FinalParams: b.FinalParams,
+		FinalParams: params,
 	}
 }
 
@@ -345,39 +342,34 @@ func decodeBody(m p2p.Message, into any) error {
 	return nil
 }
 
-// Split bodies: on the codec path a terminal result body is not plain
-// JSON but a two-section container —
+// Split bodies: a terminal result body is not plain JSON but a
+// two-section container —
 //
-//	"HDW1" | uint32 jsonLen (LE) | jsonLen bytes of JSON | param section
+//	uint32 jsonLen (LE) | jsonLen bytes of JSON | param section
 //
 // so the multi-megabyte parameter vector ships as the codec's compact
-// binary section instead of base-10 JSON text. The magic cannot collide
-// with the legacy format (JSON bodies start with '{'), so receivers
-// sniff it and accept both generations.
-
-// splitMagic opens every split body.
-var splitMagic = []byte("HDW1")
+// binary section instead of base-10 JSON text. Every result body is
+// split and every other body is plain JSON: receivers decode by frame
+// kind.
 
 // encodeSplitBody frames a JSON section and a binary parameter section
 // into one split body.
 func encodeSplitBody(jsonData, paramData []byte) []byte {
-	out := make([]byte, 0, len(splitMagic)+4+len(jsonData)+len(paramData))
-	out = append(out, splitMagic...)
+	out := make([]byte, 0, 4+len(jsonData)+len(paramData))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(jsonData)))
 	out = append(out, jsonData...)
 	return append(out, paramData...)
 }
 
-// decodeSplitBody separates a body into its JSON and parameter
-// sections. A body without the magic is legacy whole-JSON: it comes
-// back unchanged with a nil parameter section.
+// decodeSplitBody separates a result body into its JSON and parameter
+// sections.
 func decodeSplitBody(body []byte) (jsonData, paramData []byte, err error) {
-	if len(body) < len(splitMagic)+4 || !bytes.Equal(body[:len(splitMagic)], splitMagic) {
-		return body, nil, nil
+	if len(body) < 4 {
+		return nil, nil, fmt.Errorf("dispatch: split body is %d bytes, shorter than its length prefix", len(body))
 	}
-	n := int(binary.LittleEndian.Uint32(body[len(splitMagic):]))
-	rest := body[len(splitMagic)+4:]
-	if n > len(rest) {
+	n := uint64(binary.LittleEndian.Uint32(body))
+	rest := body[4:]
+	if n > uint64(len(rest)) {
 		return nil, nil, fmt.Errorf("dispatch: split body claims %d JSON bytes, has %d", n, len(rest))
 	}
 	return rest[:n], rest[n:], nil

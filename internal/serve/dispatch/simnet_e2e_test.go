@@ -426,7 +426,7 @@ func TestWorkerDisambiguatesDispatcherInstances(t *testing.T) {
 	}
 	const seq = 1
 	for _, token := range []string{"instance-a", "instance-b"} {
-		req := requestBody{Proto: proto, Token: token, JobID: fp, Scheme: hadfl.SchemeHADFL, Options: toWire(fastOpts(1))}
+		req := requestBody{Token: token, JobID: fp, Scheme: hadfl.SchemeHADFL, Options: toWire(fastOpts(1))}
 		if err := sendFrame(probe, p2p.KindDispatchRequest, worker1ID, seq, req); err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +483,7 @@ func TestDispatcherRejectsForeignResults(t *testing.T) {
 			}
 			switch m.Kind {
 			case p2p.KindDispatchHello:
-				_ = sendFrame(imposter, p2p.KindDispatchHello, m.From, m.Round, helloBody{Proto: proto, Capacity: 1})
+				_ = sendFrame(imposter, p2p.KindDispatchHello, m.From, m.Round, helloBody{Capacity: 1})
 			case p2p.KindHeartbeat:
 				_ = imposter.Send(p2p.Message{Kind: p2p.KindAck, To: m.From, Round: m.Round})
 			case p2p.KindDispatchRequest:
@@ -493,14 +493,13 @@ func TestDispatcherRejectsForeignResults(t *testing.T) {
 				}
 				// A stale orphan's result lands first: same worker, same
 				// sequence, different instance token. Then the real one.
-				_ = sendFrame(imposter, p2p.KindDispatchResult, m.From, m.Round, resultBody{
-					Token: "stale-instance", Scheme: req.Scheme, Accuracy: 0.99, Rounds: 9,
-					FinalParams: []float64{6, 6, 6},
-				})
-				_ = sendFrame(imposter, p2p.KindDispatchResult, m.From, m.Round, resultBody{
-					Token: req.Token, Scheme: req.Scheme, Accuracy: 0.5, Rounds: 2,
-					FinalParams: []float64{1, 2},
-				})
+				opts := req.Options.toOptions()
+				stale := resultBody{Token: "stale-instance", Scheme: req.Scheme, Accuracy: 0.99, Rounds: 9}
+				staleParams := encodeParams(&stale, []float64{6, 6, 6}, req.Codec, opts)
+				_, _ = sendResult(imposter, m.From, m.Round, stale, staleParams)
+				ours := resultBody{Token: req.Token, Scheme: req.Scheme, Accuracy: 0.5, Rounds: 2}
+				oursParams := encodeParams(&ours, []float64{1, 2}, req.Codec, opts)
+				_, _ = sendResult(imposter, m.From, m.Round, ours, oursParams)
 			}
 		}
 	}()
@@ -533,9 +532,11 @@ func TestDispatcherRejectsForeignResults(t *testing.T) {
 	}
 }
 
-// TestDispatcherIgnoresVersionSkewedWorker: a worker that rejects our
-// hellos (protocol mismatch) must never be marked live — no frame it
-// sends proves compatibility — so runs route to the local fallback
+// TestDispatcherIgnoresVersionSkewedWorker: a worker speaking protocol
+// version 1 acks our hellos with version-1 frames, which fail to decode
+// (p2p.ErrDispatchVersion). It must never be marked live — no frame it
+// sends proves compatibility — its acks must surface on
+// dispatch_bad_hellos_total, and runs route to the local fallback
 // instead of failing non-transiently on it.
 func TestDispatcherIgnoresVersionSkewedWorker(t *testing.T) {
 	hub := p2p.NewChanHub()
@@ -549,9 +550,11 @@ func TestDispatcherIgnoresVersionSkewedWorker(t *testing.T) {
 				continue
 			}
 			if m.Kind == p2p.KindDispatchHello {
-				// What any worker speaking another protocol version does:
-				// reject the registration with an error frame.
-				_ = sendFrame(skewed, p2p.KindDispatchError, m.From, m.Round, errorBody{Message: "version mismatch"})
+				// A version-1 worker's ack: the frame carries the old
+				// version stamp.
+				ack, _ := p2p.NewDispatchFrame(p2p.KindDispatchHello, m.From, m.Round, []byte(`{"proto":1,"capacity":1}`))
+				ack.Version = 1
+				_ = skewed.Send(ack)
 			}
 		}
 	}()
@@ -583,18 +586,19 @@ func TestDispatcherIgnoresVersionSkewedWorker(t *testing.T) {
 	if reg.Counter("dispatch_local_fallback_total") != 1 {
 		t.Fatalf("dispatch_local_fallback_total = %d, want 1", reg.Counter("dispatch_local_fallback_total"))
 	}
-	if reg.Counter("dispatch_stray_errors_total") == 0 {
-		t.Fatal("rejections never surfaced on the stray-error counter")
+	if reg.Counter("dispatch_bad_hellos_total") == 0 {
+		t.Fatal("version-1 hello acks never surfaced on dispatch_bad_hellos_total")
 	}
 }
 
 // TestWorkerRejectsBadRequests exercises the worker's validation edge:
-// wrong protocol version, fingerprint mismatch, junk options — every
-// one must come back as an error frame carrying the right sequence,
+// fingerprint mismatch, unknown scheme, junk options, malformed and
+// version-1 frames — every one must come back as an error frame carrying the right sequence,
 // never silence or a crash.
 func TestWorkerRejectsBadRequests(t *testing.T) {
 	hub := p2p.NewChanHub()
-	w, err := NewWorker(WorkerConfig{Transport: hub.Node(worker1ID), RecvTimeout: 10 * time.Millisecond})
+	reg := metrics.NewRegistry()
+	w, err := NewWorker(WorkerConfig{Transport: hub.Node(worker1ID), RecvTimeout: 10 * time.Millisecond, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,10 +612,9 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string]requestBody{
-		"wrong proto":          {Proto: proto + 1, JobID: goodFP, Scheme: hadfl.SchemeHADFL, Options: toWire(fastOpts(1))},
-		"fingerprint mismatch": {Proto: proto, JobID: "deadbeef", Scheme: hadfl.SchemeHADFL, Options: toWire(fastOpts(1))},
-		"unknown scheme":       {Proto: proto, JobID: goodFP, Scheme: "nope", Options: toWire(fastOpts(1))},
-		"invalid options":      {Proto: proto, JobID: goodFP, Scheme: hadfl.SchemeHADFL, Options: reqOptions{Powers: []float64{-4}}},
+		"fingerprint mismatch": {JobID: "deadbeef", Scheme: hadfl.SchemeHADFL, Options: toWire(fastOpts(1))},
+		"unknown scheme":       {JobID: goodFP, Scheme: "nope", Options: toWire(fastOpts(1))},
+		"invalid options":      {JobID: goodFP, Scheme: hadfl.SchemeHADFL, Options: reqOptions{Powers: []float64{-4}}},
 	}
 	seq := 100
 	for name, req := range cases {
@@ -634,13 +637,38 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 			t.Errorf("%s: empty error message", name)
 		}
 	}
-	// A malformed frame (truncated body claim) must be rejected too.
-	m, _ := p2p.NewDispatchFrame(p2p.KindDispatchRequest, worker1ID, 999, []byte(`{"proto":1`))
-	if err := probe.Send(m); err != nil {
+	// Frames that fail to decode are rejected too: a truncated JSON body,
+	// and a valid request or hello stamped with the retired protocol
+	// version 1 (p2p.ErrDispatchVersion), which must neither run nor
+	// register.
+	good, err := json.Marshal(requestBody{Token: "tok", JobID: goodFP, Scheme: hadfl.SchemeHADFL, Options: toWire(fastOpts(1))})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rep, ok := probe.Recv(2 * time.Second); !ok || rep.Kind != p2p.KindDispatchError {
-		t.Fatalf("malformed request: reply (%v, %v), want an error frame", rep.Kind, ok)
+	raw := []struct {
+		name    string
+		kind    p2p.Kind
+		version float64
+		body    []byte
+	}{
+		{"truncated request", p2p.KindDispatchRequest, p2p.DispatchVersion, []byte(`{"token":`)},
+		{"version-1 request", p2p.KindDispatchRequest, 1, good},
+		{"version-1 hello", p2p.KindDispatchHello, 1, []byte(`{"proto":1}`)},
+	}
+	for _, f := range raw {
+		seq++
+		m, _ := p2p.NewDispatchFrame(f.kind, worker1ID, seq, f.body)
+		m.Version = f.version
+		if err := probe.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		rep, ok := probe.Recv(2 * time.Second)
+		if !ok || rep.Kind != p2p.KindDispatchError || rep.Round != seq {
+			t.Fatalf("%s: reply (%v seq %d, %v), want an error frame seq %d", f.name, rep.Kind, rep.Round, ok, seq)
+		}
+	}
+	if n := reg.Counter("worker_hellos_total") + reg.Counter("worker_runs_total"); n != 0 {
+		t.Fatalf("rejected frames registered or ran %d times", n)
 	}
 }
 

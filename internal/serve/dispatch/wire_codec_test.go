@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,88 +93,15 @@ func TestChooseCodec(t *testing.T) {
 		{p2p.ParamCodecDelta, all, p2p.ParamCodecDelta},
 		// Preference not advertised: the shared fallback wins.
 		{p2p.ParamCodecTopK, []string{p2p.ParamCodecRaw64, p2p.ParamCodecF32}, p2p.ParamCodecRaw64},
-		// A fleet member advertising nothing is legacy: no codec at all.
-		{p2p.ParamCodecRaw64, nil, ""},
-		// A worker somehow advertising only exotic codecs we did not ask
-		// for: nothing shared, fall back to the legacy exchange.
-		{p2p.ParamCodecDelta, []string{"zstd9000"}, ""},
+		// A worker advertising nothing, or only codecs we did not ask
+		// for, still encodes raw64.
+		{p2p.ParamCodecDelta, nil, p2p.ParamCodecRaw64},
+		{p2p.ParamCodecDelta, []string{"zstd9000"}, p2p.ParamCodecRaw64},
 	}
 	for _, c := range cases {
 		if got := chooseCodec(c.preferred, c.advertised); got != c.want {
 			t.Errorf("chooseCodec(%q, %v) = %q, want %q", c.preferred, c.advertised, got, c.want)
 		}
-	}
-}
-
-// TestSimnetDispatchLegacyWorkerInterop pins mixed-fleet compatibility:
-// a worker whose hello ack advertises no codecs (an older build) must
-// be asked for the legacy exchange — request without a codec, result
-// with FinalParams inline in the JSON — and its result adopted.
-func TestSimnetDispatchLegacyWorkerInterop(t *testing.T) {
-	hub := p2p.NewChanHub()
-	legacy := hub.Node(worker1ID)
-	var gotCodec atomic.Value
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		for ctx.Err() == nil {
-			m, ok := legacy.Recv(10 * time.Millisecond)
-			if !ok {
-				continue
-			}
-			switch m.Kind {
-			case p2p.KindDispatchHello:
-				// The pre-codec hello ack: proto + capacity, nothing else.
-				_ = sendFrame(legacy, p2p.KindDispatchHello, m.From, m.Round, helloBody{Proto: proto, Capacity: 1})
-			case p2p.KindHeartbeat:
-				_ = legacy.Send(p2p.Message{Kind: p2p.KindAck, To: m.From, Round: m.Round})
-			case p2p.KindDispatchRequest:
-				var req requestBody
-				if err := decodeBody(m, &req); err != nil {
-					continue
-				}
-				gotCodec.Store(req.Codec)
-				_ = sendFrame(legacy, p2p.KindDispatchResult, m.From, m.Round, resultBody{
-					Token: req.Token, Scheme: req.Scheme, Accuracy: 0.75, Rounds: 3,
-					FinalParams: []float64{1.5, -2.25, 3.125},
-				})
-			}
-		}
-	}()
-	reg := metrics.NewRegistry()
-	d, err := New(Config{
-		Transport:      hub.Node(dispatcherID),
-		Workers:        []int{worker1ID},
-		Codec:          p2p.ParamCodecDelta, // preference is irrelevant to a legacy worker
-		HeartbeatEvery: 50 * time.Millisecond,
-		LivenessGrace:  5 * time.Second,
-		RecvTimeout:    10 * time.Millisecond,
-		Metrics:        reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	readyCtx, cancelReady := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelReady()
-	if err := d.WaitReady(readyCtx, 1); err != nil {
-		t.Fatal(err)
-	}
-	res, err := d.Run(context.Background(), hadfl.SchemeHADFL, fastOpts(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, _ := gotCodec.Load().(string); c != "" {
-		t.Fatalf("legacy worker was asked for codec %q, want none", c)
-	}
-	if res.Accuracy != 0.75 || len(res.FinalParams) != 3 || res.FinalParams[2] != 3.125 {
-		t.Fatalf("legacy result mangled: %+v", res)
-	}
-	if n := reg.Counter("dispatch_wire_codec_raw64_total"); n != 0 {
-		t.Fatalf("legacy exchange counted as a codec decode (%d)", n)
-	}
-	if n := reg.Counter("dispatch_wire_chunks_total"); n != 0 {
-		t.Fatalf("legacy exchange produced %d chunk frames", n)
 	}
 }
 
@@ -306,7 +232,7 @@ func TestSimnetDispatchLossyF32DriftBound(t *testing.T) {
 
 // TestWorkerFallsBackToRaw64OnUnknownCodec: a request naming a codec
 // this worker does not know (a newer dispatcher's invention) must come
-// back raw64-encoded — never legacy, never an error.
+// back raw64-encoded, never an error.
 func TestWorkerFallsBackToRaw64OnUnknownCodec(t *testing.T) {
 	hub := p2p.NewChanHub()
 	stub := func(ctx context.Context, scheme string, opts hadfl.Options, onRound func(hadfl.RoundUpdate)) (*hadfl.Result, error) {
@@ -326,7 +252,7 @@ func TestWorkerFallsBackToRaw64OnUnknownCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := requestBody{Proto: proto, Token: "tok", JobID: fp, Scheme: hadfl.SchemeHADFL, Options: toWire(opts), Codec: "zstd9000"}
+	req := requestBody{Token: "tok", JobID: fp, Scheme: hadfl.SchemeHADFL, Options: toWire(opts), Codec: "zstd9000"}
 	if err := sendFrame(probe, p2p.KindDispatchRequest, worker1ID, 7, req); err != nil {
 		t.Fatal(err)
 	}
@@ -342,17 +268,33 @@ func TestWorkerFallsBackToRaw64OnUnknownCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paramData) == 0 {
-		t.Fatal("unknown codec fell back to the legacy inline exchange, want a raw64 split body")
-	}
 	var rb resultBody
 	if err := json.Unmarshal(jsonData, &rb); err != nil {
 		t.Fatal(err)
 	}
-	if rb.ParamCodec != p2p.ParamCodecRaw64 || rb.ParamCount != 3 || !rb.ParamExact {
-		t.Fatalf("fallback encoding %+v, want exact raw64 of 3 params", rb)
+	if rb.ParamCodec != p2p.ParamCodecRaw64 || rb.ParamCount != 3 || !rb.ParamExact || len(paramData) != 3*8 {
+		t.Fatalf("fallback encoding %+v with a %d-byte section, want exact raw64 of 3 params", rb, len(paramData))
 	}
-	if len(rb.FinalParams) != 0 {
-		t.Fatal("split body still carries FinalParams inline")
+}
+
+// TestSimnetDispatchEmptyParams: a result with no parameter vector
+// ships as ParamCount 0 under every codec and comes back as nil, as a
+// local run reports it.
+func TestSimnetDispatchEmptyParams(t *testing.T) {
+	stub := func(ctx context.Context, scheme string, opts hadfl.Options, onRound func(hadfl.RoundUpdate)) (*hadfl.Result, error) {
+		return &hadfl.Result{Scheme: scheme, Accuracy: 0.5, Rounds: 1}, nil
+	}
+	for _, codec := range p2p.ParamCodecNames() {
+		h := startCodecHarness(t, codec, nil, []int{worker1ID}, stub)
+		res, err := h.disp.Run(context.Background(), hadfl.SchemeHADFL, fastOpts(1), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", codec, err)
+		}
+		if res.FinalParams != nil || res.Accuracy != 0.5 {
+			t.Fatalf("%s: result %+v, want nil FinalParams", codec, res)
+		}
+		if n := h.reg.Counter("dispatch_remote_total"); n != 1 {
+			t.Fatalf("%s: dispatch_remote_total = %d, want 1 (ran remotely)", codec, n)
+		}
 	}
 }

@@ -193,53 +193,61 @@ func (w *Worker) handle(ctx context.Context, m p2p.Message) {
 }
 
 // handleHello registers the dispatcher (learning its dial-back address
-// on address-based transports) and acks with this worker's capacity. A
-// protocol version mismatch is answered with an error frame — a
-// compatible dispatcher never sends one at hello, and an incompatible
-// one gets an observable rejection on the wire instead of silence (and
-// never a hello ack, so it will not consider this worker live).
+// on address-based transports) and acks with this worker's capacity and
+// codecs. A hello that fails to decode — a frame from another protocol
+// version — is answered with an error frame: the sender gets an
+// observable rejection on the wire instead of silence, and never a
+// hello ack, so it will not consider this worker live.
 func (w *Worker) handleHello(m p2p.Message) {
 	var h helloBody
 	if err := decodeBody(m, &h); err != nil {
+		_ = sendFrame(w.cfg.Transport, p2p.KindDispatchError, m.From, m.Round, errorBody{Message: err.Error()})
 		return
 	}
 	if h.ReplyAddr != "" && w.cfg.AddPeer != nil {
 		w.cfg.AddPeer(m.From, h.ReplyAddr)
 	}
-	if h.Proto != proto {
-		_ = sendFrame(w.cfg.Transport, p2p.KindDispatchError, m.From, m.Round, errorBody{
-			Message: fmt.Sprintf("dispatch: protocol version %d, worker speaks %d", h.Proto, proto),
-		})
-		return
-	}
 	w.reg.Inc("worker_hellos_total")
 	_ = sendFrame(w.cfg.Transport, p2p.KindDispatchHello, m.From, m.Round, helloBody{
-		Proto: proto, Capacity: w.cfg.Capacity, Codecs: w.cfg.Codecs,
+		Capacity: w.cfg.Capacity, Codecs: w.cfg.Codecs,
 	})
 }
 
-// sendResult ships a terminal result body. Legacy bodies (no codec) go
-// as one monolithic JSON frame exactly as every worker before chunking
-// did. Codec-path bodies are framed as a split body (JSON + binary
-// parameter section) and handed to the chunk streamer, which stays
-// monolithic when the body fits one frame and otherwise streams it —
-// lifting the per-frame cap off the model size.
-func (w *Worker) sendResult(to, seq int, body resultBody, paramSection []byte) error {
-	if body.ParamCodec == "" {
-		return sendFrame(w.cfg.Transport, p2p.KindDispatchResult, to, seq, body)
+// encodeParams encodes params as the named codec's binary parameter
+// section and describes it in body's Param* fields. An unrecognized
+// codec name encodes with raw64, the fallback every fleet shares.
+// Reference-based codecs encode against the run's initial model, which
+// the receiver re-derives from the job options.
+func encodeParams(body *resultBody, params []float64, codecName string, opts hadfl.Options) []byte {
+	codec, ok := p2p.ParamCodecByName(codecName)
+	if !ok {
+		codec, _ = p2p.ParamCodecByName(p2p.ParamCodecRaw64)
 	}
+	var ref []float64
+	if codec.UsesRef() {
+		if r, err := hadfl.InitialParams(opts); err == nil {
+			ref = r
+			body.ParamRef = paramRefInit
+		}
+	}
+	section, exact := codec.Encode(params, ref)
+	body.ParamCodec = codec.Name()
+	body.ParamCount = len(params)
+	body.ParamExact = exact
+	return section
+}
+
+// sendResult ships a terminal result as a split body (JSON + binary
+// parameter section) through the chunk streamer, which stays
+// monolithic when the body fits one frame and otherwise streams it —
+// lifting the per-frame cap off the model size. It reports how many
+// chunk frames preceded the terminal one.
+func sendResult(t p2p.Transport, to, seq int, body resultBody, paramSection []byte) (chunks int, err error) {
 	jsonData, err := json.Marshal(body)
 	if err != nil {
-		return fmt.Errorf("dispatch: encode result: %w", err)
+		return 0, fmt.Errorf("dispatch: encode result: %w", err)
 	}
-	chunks, err := p2p.SendChunked(w.cfg.Transport, p2p.KindDispatchResult, to, seq, encodeSplitBody(jsonData, paramSection))
-	if err != nil {
-		return err
-	}
-	if chunks > 0 {
-		w.reg.Inc("worker_chunked_results_total")
-	}
-	return nil
+	return p2p.SendChunked(t, p2p.KindDispatchResult, to, seq, encodeSplitBody(jsonData, paramSection))
 }
 
 // handleRequest admits a run if capacity allows and executes it on its
@@ -254,10 +262,6 @@ func (w *Worker) handleRequest(ctx context.Context, m p2p.Message) {
 		// Undecodable request: the token is unknowable, so this is the
 		// one rejection that goes out without it.
 		reject(errorBody{Message: err.Error()})
-		return
-	}
-	if req.Proto != proto {
-		reject(errorBody{Token: req.Token, Message: fmt.Sprintf("dispatch: protocol version %d, worker speaks %d", req.Proto, proto)})
 		return
 	}
 	opts := req.Options.toOptions()
@@ -365,37 +369,17 @@ func (w *Worker) handleRequest(ctx context.Context, m p2p.Message) {
 		_, rspan := trace.Start(spanCtx, rec, "worker.result")
 		body := toResultBody(res)
 		body.Token = req.Token
-		var paramSection []byte
-		// Empty vectors stay inline: JSON keeps the nil-vs-empty
-		// distinction a binary section cannot carry.
-		if req.Codec != "" && len(res.FinalParams) > 0 {
-			// Codec path: a non-empty request codec proves the dispatcher
-			// reassembles split bodies and chunk streams, so the parameter
-			// vector leaves the JSON and ships as the negotiated codec's
-			// binary section. An unrecognized codec name degrades to raw64
-			// (the fallback every fleet shares), never back to legacy.
-			codec, ok := p2p.ParamCodecByName(req.Codec)
-			if !ok {
-				codec, _ = p2p.ParamCodecByName(p2p.ParamCodecRaw64)
-			}
-			var ref []float64
-			if codec.UsesRef() {
-				if r, rerr := hadfl.InitialParams(opts); rerr == nil {
-					ref = r
-					body.ParamRef = paramRefInit
-				}
-			}
-			paramSection, body.ParamExact = codec.Encode(res.FinalParams, ref)
-			body.ParamCodec = codec.Name()
-			body.ParamCount = len(res.FinalParams)
-			body.FinalParams = nil
-		}
+		paramSection := encodeParams(&body, res.FinalParams, req.Codec, opts)
 		rspan.End()
 		body.Trace = shipHome()
-		if err := w.sendResult(m.From, m.Round, body, paramSection); err != nil {
+		chunks, err := sendResult(w.cfg.Transport, m.From, m.Round, body, paramSection)
+		if err == nil && chunks > 0 {
+			w.reg.Inc("worker_chunked_results_total")
+		}
+		if err != nil {
 			// The run finished but its result frame cannot be built or
-			// sent (NaN in the parameters defeats JSON, or the body
-			// outgrew the frame cap). Falling silent would leave the
+			// sent (a NaN in the summary or curve defeats JSON, or the
+			// body outgrew the stream cap). Falling silent would leave the
 			// dispatcher waiting out the job timeout on a healthy,
 			// heartbeating worker — report the failure as the terminal
 			// error frame instead (tiny, always encodable).

@@ -247,6 +247,8 @@ func (p *Pool) runJob(worker string, j *Job) {
 		ch <- outcome{res, err}
 	}()
 
+	// Both finishers record telemetry before j.finish publishes the
+	// terminal state, so anyone woken by Done sees the job's counters.
 	finishErr := func(cause error, path ...string) {
 		jerr := &JobError{
 			JobID: j.ID, Scheme: j.Scheme, Options: j.Options,
@@ -256,7 +258,7 @@ func (p *Pool) runJob(worker string, j *Job) {
 			Timeout:  errors.Is(cause, context.DeadlineExceeded),
 			Canceled: errors.Is(cause, context.Canceled),
 		}
-		j.finish(nil, jerr)
+		defer j.finish(nil, jerr)
 		p.reg.Observe("run_duration_seconds", jerr.Duration.Seconds())
 		span.SetError(cause)
 		log := log
@@ -282,7 +284,7 @@ func (p *Pool) runJob(worker string, j *Job) {
 		}
 	}
 	finishOK := func(res *hadfl.Result) {
-		j.finish(res, nil)
+		defer j.finish(res, nil)
 		dur := j.RunningFor()
 		p.reg.Inc("runs_completed_total")
 		p.reg.Observe("run_duration_seconds", dur.Seconds())
