@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check ci cover fmt fmt-check lint vet build test test-short test-race test-race-short alloc-guard fuzz-short e2e-dispatch loadgen-smoke bench bench-json bench-eval bench-dispatch bench-wire bench-serve serve
+.PHONY: check ci cover fmt fmt-check lint vet build test test-short test-race test-race-short alloc-guard kernel-identity fuzz-short e2e-dispatch loadgen-smoke bench bench-json bench-eval bench-dispatch bench-wire bench-serve serve
 
 check: fmt-check vet lint build test-short
 
@@ -8,10 +8,10 @@ check: fmt-check vet lint build test-short
 # lint suite (before the test stages, so invariant breaks fail fast),
 # the short suite, the short suite under the race detector, the
 # allocation guards (the zero-alloc train/eval steps plus the
-# whole-run allocation budget), the wire-codec fuzz smoke, the
-# dispatch e2e suite under -race, and the coverage report with its
-# floor.
-ci: fmt-check vet lint test-short test-race-short alloc-guard fuzz-short e2e-dispatch loadgen-smoke cover
+# whole-run allocation budget), the kernel bit-identity checks, the
+# wire-codec fuzz smoke, the dispatch e2e suite under -race, and the
+# coverage report with its floor.
+ci: fmt-check vet lint test-short test-race-short alloc-guard kernel-identity fuzz-short e2e-dispatch loadgen-smoke cover
 
 # lint runs hadfl-lint, the repo's own analyzer suite (internal/lint):
 # detmap, walltime, poolleaf, metriccatalog, ctxbg — the determinism,
@@ -67,6 +67,13 @@ alloc-guard:
 loadgen-smoke:
 	$(GO) run ./cmd/hadfl-loadgen -duration 2s -concurrency 16 -corpus 8 \
 		-run-cost 500us -curve-points 8 -fail-on-errors -out /dev/null
+
+# kernel-identity pins the compute kernels' numerics: the tensor
+# kernels against their reference loops bit for bit, and the seeded
+# golden runs (MLP and conv profiles) against their parameter hashes.
+# A numerics change to a kernel fails here on its own line.
+kernel-identity:
+	$(GO) test -run 'TestKernelOracle|TestGolden' ./internal/tensor .
 
 fmt: fmt-check
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -79,5 +80,60 @@ func BenchmarkIm2Col(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Im2ColInto(cols, x, 3, 3, 1, 1)
+	}
+}
+
+// BenchmarkCol2Im scatters the column matrix of the conv profile's
+// 3×3 convolutions back over a 32×8×8×8 batch: stride 1 (the 8×8
+// layers) and stride 2 (the downsampling convolution).
+func BenchmarkCol2Im(b *testing.B) {
+	for _, stride := range []int{1, 2} {
+		b.Run(fmt.Sprintf("c8s%d", stride), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			o := Conv2DShape(8, 3, stride, 1)
+			cols := RandNormal(rng, 0, 1, 32*o*o, 8*3*3)
+			img := New(32, 8, 8, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Col2ImInto(img, cols, 3, 3, stride, 1)
+			}
+		})
+	}
+}
+
+// BenchmarkConvGEMM times the three products of one conv layer's train
+// step at the conv profile's im2col shapes, serially. A shape RxKxO has
+// R = N·OH·OW rows, K = C·KH·KW columns and O output channels:
+// fwd is cols·Wᵀ+b (R×O), dw is dW += gᵀ·cols (O×K) and dx is g·W (R×K).
+func BenchmarkConvGEMM(b *testing.B) {
+	prev := Parallelism()
+	SetParallelism(1)
+	defer SetParallelism(prev)
+	shapes := [][3]int{{2048, 27, 8}, {2048, 72, 8}, {512, 72, 16}, {512, 144, 16}}
+	for _, op := range []string{"fwd", "dw", "dx"} {
+		for _, s := range shapes {
+			r, k, o := s[0], s[1], s[2]
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", op, r, k, o), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(6))
+				cols := RandNormal(rng, 0, 1, r, k)
+				w := RandNormal(rng, 0, 1, o, k)
+				bias := RandNormal(rng, 0, 1, o)
+				g := RandNormal(rng, 0, 1, r, o)
+				y, dw, dcols := New(r, o), New(o, k), New(r, k)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					switch op {
+					case "fwd":
+						MatMulTransBBiasInto(y, cols, w, bias)
+					case "dw":
+						MatMulTransAAccInto(dw, g, cols)
+					case "dx":
+						MatMulInto(dcols, g, w)
+					}
+				}
+			})
+		}
 	}
 }

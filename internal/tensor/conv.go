@@ -50,44 +50,47 @@ func Im2ColInto(cols *Tensor, x *Tensor, kh, kw, stride, pad int) {
 }
 
 // im2colRange unrolls images [n0, n1); images are independent, so the
-// range shards freely across workers.
+// range shards freely across workers. Each output pixel's kernel
+// window is clamped once to the rows [ky0, ky1) and columns [kx0, kx1)
+// that fall inside the image, so the copy loops make no per-element
+// padding test. The padding outside them keeps the zeros of one bulk
+// clear, which measured faster than writing each padding zero in place.
 func im2colRange(cd, xd []float64, n0, n1, c, h, w, oh, ow, kh, kw, stride, pad, rowLen int) {
 	if pad > 0 {
-		// Padding positions are skipped below and must read as zero.
-		seg := cd[n0*oh*ow*rowLen : n1*oh*ow*rowLen]
-		for i := range seg {
-			seg[i] = 0
-		}
+		clear(cd[n0*oh*ow*rowLen : n1*oh*ow*rowLen])
 	}
+	plane := h * w
 	for ni := n0; ni < n1; ni++ {
-		imgBase := ni * c * h * w
+		img := xd[ni*c*plane : (ni+1)*c*plane]
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*stride - pad
+			ky0, ky1 := windowRange(iy0, kh, h)
 			for ox := 0; ox < ow; ox++ {
 				ix0 := ox*stride - pad
-				row := ((ni*oh+oy)*ow + ox) * rowLen
+				kx0, kx1 := windowRange(ix0, kw, w)
+				row := cd[((ni*oh+oy)*ow+ox)*rowLen:][:rowLen]
 				for ci := 0; ci < c; ci++ {
-					chBase := imgBase + ci*h*w
-					colBase := row + ci*kh*kw
-					for ky := 0; ky < kh; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
-							continue // stays zero
-						}
-						rowBase := chBase + iy*w
-						dst := colBase + ky*kw
-						for kx := 0; kx < kw; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							cd[dst+kx] = xd[rowBase+ix]
+					ch := img[ci*plane : (ci+1)*plane]
+					patch := row[ci*kh*kw : (ci+1)*kh*kw]
+					for ky := ky0; ky < ky1; ky++ {
+						so, do := (iy0+ky)*w+ix0, ky*kw
+						for kx := kx0; kx < kx1; kx++ {
+							patch[do+kx] = ch[so+kx]
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// windowRange clamps the kernel offsets [0, k) of a window whose first
+// input index is i0 to those landing inside [0, size): it returns
+// [k0, k1) with 0 ≤ k0 ≤ k1 ≤ k, empty when the window misses the input.
+func windowRange(i0, k, size int) (k0, k1 int) {
+	k0 = min(max(-i0, 0), k)
+	k1 = max(min(size-i0, k), k0)
+	return k0, k1
 }
 
 // Col2Im is the adjoint of Im2Col: it scatters (accumulates) the column
@@ -124,34 +127,27 @@ func Col2ImInto(img *Tensor, cols *Tensor, kh, kw, stride, pad int) {
 
 // col2imRange zeroes and scatter-accumulates images [n0, n1); each
 // image's scatter touches only its own plane, so ranges shard freely.
+// Windows are clamped as in im2colRange, and every image element takes
+// its contributions in the same (oy, ox) order as an unclamped loop.
 func col2imRange(xd, cd []float64, n0, n1, c, h, w, oh, ow, kh, kw, stride, pad, rowLen int) {
-	seg := xd[n0*c*h*w : n1*c*h*w]
-	for i := range seg {
-		seg[i] = 0
-	}
+	plane := h * w
+	clear(xd[n0*c*plane : n1*c*plane])
 	for ni := n0; ni < n1; ni++ {
-		imgBase := ni * c * h * w
+		img := xd[ni*c*plane : (ni+1)*c*plane]
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*stride - pad
+			ky0, ky1 := windowRange(iy0, kh, h)
 			for ox := 0; ox < ow; ox++ {
 				ix0 := ox*stride - pad
-				row := ((ni*oh+oy)*ow + ox) * rowLen
+				kx0, kx1 := windowRange(ix0, kw, w)
+				row := cd[((ni*oh+oy)*ow+ox)*rowLen:][:rowLen]
 				for ci := 0; ci < c; ci++ {
-					chBase := imgBase + ci*h*w
-					colBase := row + ci*kh*kw
-					for ky := 0; ky < kh; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						rowBase := chBase + iy*w
-						src := colBase + ky*kw
-						for kx := 0; kx < kw; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							xd[rowBase+ix] += cd[src+kx]
+					ch := img[ci*plane : (ci+1)*plane]
+					patch := row[ci*kh*kw : (ci+1)*kh*kw]
+					for ky := ky0; ky < ky1; ky++ {
+						io, po := (iy0+ky)*w+ix0, ky*kw
+						for kx := kx0; kx < kx1; kx++ {
+							ch[io+kx] += patch[po+kx]
 						}
 					}
 				}

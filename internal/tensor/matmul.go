@@ -5,19 +5,31 @@ import "fmt"
 // Matrix kernels. All three product shapes (a·b, aᵀ·b, a·bᵀ) come in
 // allocating, into, and (where the nn backward passes accumulate)
 // into-accumulate forms, plus a fused matmul+bias epilogue for the
-// dense/conv forward path. The into forms are cache-blocked over the
-// inner dimension and shard independent output rows across the package
-// worker pool (see parallel.go); per-element accumulation always runs
-// in ascending inner-index order, so every variant is bit-deterministic
-// at every parallelism level.
+// dense/conv forward path. The into forms run register-tiled micro-
+// kernels and shard independent output rows across the package worker
+// pool (see parallel.go).
+//
+// The tiles only change which partial sums live in registers, never
+// the arithmetic: every output element is computed exactly as by the
+// naive loops (kernels_ref_test.go) — it starts from +0, or from dst in
+// the accumulate forms, adds its products one at a time in ascending
+// inner index, and takes the bias last. So every variant is bit-
+// identical to those loops and to itself at every parallelism level.
+// The a·b and aᵀ·b forms skip a product whose a factor is exactly
+// zero, as those loops do: skipping is not the same as adding 0·b,
+// which is NaN for an infinite b and turns a -0 accumulator into +0.
+//
+// The tiles are one output row each, so any row shard is tile-aligned
+// and the shard grain needs no rounding.
 //
 // Each kernel's sharded body is a named function — not a closure — and
 // the serial path calls it directly, so kernels allocate nothing when
 // Parallelism() is 1 or the matrix is below the sharding threshold.
 // Only the parallel dispatch spends a few words on coordination.
 
-// blockK is the inner-dimension tile: one tile of b (blockK rows)
-// stays resident in cache while a chunk of output rows streams over it.
+// blockK is the inner-dimension block of the a·b and aᵀ·b kernels: the
+// blockK rows of b one block reads stay resident in cache while a
+// chunk of output rows streams over them.
 const blockK = 256
 
 // MatMul returns the matrix product a·b for 2-D tensors a (m×k) and b (k×n).
@@ -44,40 +56,61 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 	ad, bd, dd := a.data, b.data, dst.data
 	if runSerial(m * n * k) {
-		matMulRows(dd, ad, bd, 0, m, k, n)
+		gemmRows(dd, ad, bd, 0, m, k, n, k, 1, false)
 		return
 	}
 	parallelFor(m, rowGrain(m, 2*n*k), func(i0, i1 int) {
-		matMulRows(dd, ad, bd, i0, i1, k, n)
+		gemmRows(dd, ad, bd, i0, i1, k, n, k, 1, false)
 	})
 }
 
-// matMulRows computes output rows [i0, i1) of dst = a·b, k-blocked so a
-// tile of b stays cache-resident across the row chunk. Per element the
-// accumulation over p is strictly ascending — identical to the naive
-// i-k-j loop.
-func matMulRows(dd, ad, bd []float64, i0, i1, k, n int) {
+// gemmRows computes output rows [i0, i1) of dst = x·b, or dst += x·b
+// with acc, for b k×n and x[i][p] = ad[i*rs+p*ps]: x is a itself for
+// a·b (rs = k, ps = 1) and aᵀ for aᵀ·b (rs = 1, ps = m).
+//
+// Per row and k-block the nonzero x factors and the offsets of their b
+// rows are gathered first, so the zero test runs once per (i, p) as in
+// the naive loop. The row is then swept once per four gathered
+// factors, each element kept in a register across its four additions:
+// one load and one store of dst per four products instead of per
+// product.
+func gemmRows(dd, ad, bd []float64, i0, i1, k, n, rs, ps int, acc bool) {
+	var xs [blockK]float64
+	var bo [blockK]int
 	for p0 := 0; p0 < k; p0 += blockK {
-		p1 := p0 + blockK
-		if p1 > k {
-			p1 = k
-		}
+		p1 := min(p0+blockK, k)
 		for i := i0; i < i1; i++ {
-			arow := ad[i*k : (i+1)*k]
-			drow := dd[i*n : (i+1)*n]
-			if p0 == 0 {
-				for j := range drow {
-					drow[j] = 0
+			d := dd[i*n : (i+1)*n]
+			if p0 == 0 && !acc {
+				clear(d)
+			}
+			nz := 0
+			for p, ai := p0, i*rs+p0*ps; p < p1; p, ai = p+1, ai+ps {
+				if x := ad[ai]; x != 0 {
+					xs[nz], bo[nz] = x, p*n
+					nz++
 				}
 			}
-			for p := p0; p < p1; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
+			t := 0
+			for ; t+4 <= nz; t += 4 {
+				x0, x1, x2, x3 := xs[t], xs[t+1], xs[t+2], xs[t+3]
+				b0 := bd[bo[t]:][:len(d)]
+				b1 := bd[bo[t+1]:][:len(d)]
+				b2 := bd[bo[t+2]:][:len(d)]
+				b3 := bd[bo[t+3]:][:len(d)]
+				for j, v := range d {
+					v += x0 * b0[j]
+					v += x1 * b1[j]
+					v += x2 * b2[j]
+					v += x3 * b3[j]
+					d[j] = v
 				}
-				brow := bd[p*n : (p+1)*n]
-				for j, bv := range brow {
-					drow[j] += av * bv
+			}
+			for ; t < nz; t++ {
+				x := xs[t]
+				b := bd[bo[t]:][:len(d)]
+				for j, v := range b {
+					d[j] += x * v
 				}
 			}
 		}
@@ -117,41 +150,12 @@ func matMulTransAInto(dst, a, b *Tensor, acc bool) {
 	}
 	ad, bd, dd := a.data, b.data, dst.data
 	if runSerial(m * n * k) {
-		matMulTransARows(dd, ad, bd, 0, m, k, m, n, acc)
+		gemmRows(dd, ad, bd, 0, m, k, n, 1, m, acc)
 		return
 	}
 	parallelFor(m, rowGrain(m, 2*n*k), func(i0, i1 int) {
-		matMulTransARows(dd, ad, bd, i0, i1, k, m, n, acc)
+		gemmRows(dd, ad, bd, i0, i1, k, n, 1, m, acc)
 	})
-}
-
-// matMulTransARows computes output rows [i0, i1) of dst = aᵀ·b (or +=
-// with acc), k-blocked; per element the accumulation over p ascends.
-func matMulTransARows(dd, ad, bd []float64, i0, i1, k, m, n int, acc bool) {
-	for p0 := 0; p0 < k; p0 += blockK {
-		p1 := p0 + blockK
-		if p1 > k {
-			p1 = k
-		}
-		for i := i0; i < i1; i++ {
-			drow := dd[i*n : (i+1)*n]
-			if p0 == 0 && !acc {
-				for j := range drow {
-					drow[j] = 0
-				}
-			}
-			for p := p0; p < p1; p++ {
-				av := ad[p*m+i]
-				if av == 0 {
-					continue
-				}
-				brow := bd[p*n : (p+1)*n]
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
-			}
-		}
-	}
 }
 
 // MatMulTransB returns a·bᵀ for a (m×k) and b (n×k), producing m×n,
@@ -200,24 +204,48 @@ func matMulTransBInto(dst, a, b *Tensor, bias []float64) {
 	})
 }
 
-// matMulTransBRows computes output rows [i0, i1) of dst = a·bᵀ (+bias):
-// contiguous dot products, each summed in ascending p order.
+// matMulTransBRows computes output rows [i0, i1) of dst = a·bᵀ (+bias)
+// in 1×4 register tiles: four independent dot products over one a row
+// and four b rows, each summed in ascending p with the bias added last.
+// Four accumulators hide the add latency that bounds a lone dot
+// product. 2×4 and 1×8 tiles measured no faster on amd64, where the
+// compiler's two-operand SSE2 code spills the 2×4 tile's registers.
 func matMulTransBRows(dd, ad, bd, bias []float64, i0, i1, k, n int) {
 	for i := i0; i < i1; i++ {
-		arow := ad[i*k : (i+1)*k]
-		drow := dd[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := bd[j*k : (j+1)*k]
-			s := 0.0
-			for p, av := range arow {
-				s += av * brow[p]
+		a := ad[i*k : (i+1)*k]
+		d := dd[i*n : (i+1)*n]
+		for j := 0; j < n; j += 4 {
+			o1, o2, o3 := colOffsets(j, n)
+			b0 := bd[j*k : (j+1)*k][:len(a)]
+			b1 := bd[(j+o1)*k : (j+o1+1)*k][:len(a)]
+			b2 := bd[(j+o2)*k : (j+o2+1)*k][:len(a)]
+			b3 := bd[(j+o3)*k : (j+o3+1)*k][:len(a)]
+			var c0, c1, c2, c3 float64
+			for p, x := range a {
+				c0 += x * b0[p]
+				c1 += x * b1[p]
+				c2 += x * b2[p]
+				c3 += x * b3[p]
 			}
 			if bias != nil {
-				s += bias[j]
+				c0 += bias[j]
+				c1 += bias[j+o1]
+				c2 += bias[j+o2]
+				c3 += bias[j+o3]
 			}
-			drow[j] = s
+			d[j], d[j+o1], d[j+o2], d[j+o3] = c0, c1, c2, c3
 		}
 	}
+}
+
+// colOffsets returns the offsets of a 1×4 tile's columns 1–3 from its
+// first column j, clamped to the last column n-1. Past the edge of the
+// matrix the tile repeats its last column instead of running a tail
+// loop: the repeat computes the same element with the same operations,
+// so its duplicate store writes identical bits.
+func colOffsets(j, n int) (o1, o2, o3 int) {
+	last := n - 1 - j
+	return min(1, last), min(2, last), min(3, last)
 }
 
 // Transpose returns the transpose of a 2-D tensor.

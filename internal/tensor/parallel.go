@@ -62,7 +62,7 @@ func init() {
 	SetParallelism(runtime.GOMAXPROCS(0))
 }
 
-// SetParallelism sets the number of executors the blocked kernels may
+// SetParallelism sets the number of executors the kernels may
 // use (the calling goroutine counts as one; n-1 pool workers are kept).
 // n < 1 is clamped to 1, which makes every kernel run serially on the
 // caller with zero coordination overhead. The default is GOMAXPROCS.
